@@ -36,6 +36,8 @@ from repro.core.compiled import (
     _MODE_ATOM,
     _MODE_MIN,
     _MODE_STRUCT,
+    _gather_buckets,
+    _halve,
     SetEvaluator,
     SolvePlan,
     resolve_ids,
@@ -61,6 +63,11 @@ class BatchedEvaluator:
     values for the same ids (same balanced reduction tree per set, see
     the SetEvaluator docstring). Ids below 0 evaluate to 1.0, matching
     the unvisited convention of :func:`~repro.core.compiled.resolve_ids`.
+
+    With numpy, values live in one ``(sets + 1, W)`` table whose last row
+    is the 1.0 sentinel for ids below 0, so ``matrix`` is a single gather;
+    rows are filled per width bucket by gathering from the ``(atoms + 1,
+    W)`` atom-value matrix (last row the 0.0 pad) and halving.
     """
 
     def __init__(
@@ -74,12 +81,13 @@ class BatchedEvaluator:
         self.envs = list(envs)
         self.width = len(self.envs)
         self.use_numpy = HAVE_NUMPY if use_numpy is None else (use_numpy and HAVE_NUMPY)
-        self._rows: dict[int, object] = {}
-        self._atom_rows: dict[Atom, object] = {}
+        self._atom_mat = None
         if self.use_numpy:
-            # Seed EMPTY and TOP like SetEvaluator (they have no atom rows).
-            self._rows[SetInterner.EMPTY_ID] = _np.zeros(self.width)
-            self._rows[SetInterner.TOP_ID] = _np.ones(self.width)
+            # EMPTY and TOP are seeded like SetEvaluator's; the last row
+            # is the sentinel for ids below 0.
+            self._table = _np.ones((3, self.width), dtype=_np.float64)
+            self._table[SetInterner.EMPTY_ID] = 0.0
+            self._done = _np.ones(2, dtype=bool)
         # Fallback path: one scalar evaluator per environment.
         self._scalar = (
             None
@@ -87,48 +95,41 @@ class BatchedEvaluator:
             else [SetEvaluator(interner, env, use_numpy=False) for env in self.envs]
         )
 
-    def _atom_row(self, atom: Atom):
-        row = self._atom_rows.get(atom)
-        if row is None:
-            row = _np.array([env.lookup(atom) for env in self.envs], dtype=_np.float64)
-            self._atom_rows[atom] = row
-        return row
+    def atom_matrix(self):
+        """``(atoms + 1, W)`` atom values by atom id; the last row is 0.0."""
+        atoms = self.interner.atoms
+        mat = self._atom_mat
+        if mat is None or len(mat) != len(atoms) + 1:  # grew: ids may have moved
+            mat = self._atom_mat = _np.zeros((len(atoms) + 1, self.width))
+            for w, env in enumerate(self.envs):
+                lookup = env.lookup
+                mat[:-1, w] = [lookup(atom) for atom in atoms]
+        return mat
 
     def _fill(self, sids) -> None:
-        rows = self._rows
-        pending = sorted({int(s) for s in sids if s >= 0 and int(s) not in rows})
-        if not pending:
+        done = self._done
+        grown = len(self.interner) - len(done)
+        if grown > 0:  # rows for sets interned since; the sentinel moves last
+            self._table = _np.concatenate(
+                [self._table[:-1], _np.ones((grown + 1, self.width))]
+            )
+            self._done = done = _np.concatenate([done, _np.zeros(grown, dtype=bool)])
+        wanted = _np.unique(sids[sids >= 0])
+        pending = wanted[~done[wanted]]
+        if not len(pending):
             return
-        sorted_atoms = self.interner.sorted_atoms
-        atom_row = self._atom_row
-        buckets: dict[int, tuple[list[int], list[tuple[Atom, ...]]]] = {}
-        for sid in pending:
-            atoms = sorted_atoms(sid)
-            k = len(atoms)
-            width = k if not (k & (k - 1)) else 1 << k.bit_length()
-            ids, atom_lists = buckets.setdefault(width, ([], []))
-            ids.append(sid)
-            atom_lists.append(atoms)
-        for width, (ids, atom_lists) in buckets.items():
-            arr = _np.zeros((len(ids), width, self.width), dtype=_np.float64)
-            for i, atoms in enumerate(atom_lists):
-                for j, atom in enumerate(atoms):
-                    arr[i, j, :] = atom_row(atom)
-            while arr.shape[1] > 1:
-                arr = arr[:, 0::2, :] + arr[:, 1::2, :]
-            capped = _np.minimum(arr[:, 0, :], 1.0)
-            for i, sid in enumerate(ids):
-                rows[sid] = capped[i]
+        atom_mat = self.atom_matrix()
+        table = self._table
+        for ids, index in _gather_buckets(self.interner.members, pending.tolist()):
+            table[ids] = _np.minimum(_halve(atom_mat[index]), 1.0)
+        done[pending] = True
 
     def matrix(self, sids: Sequence[int]):
         """``(len(sids), W)`` values; requires numpy."""
+        sids = _np.asarray(sids, dtype=_np.int64)
         self._fill(sids)
-        rows = self._rows
-        out = _np.ones((len(sids), self.width), dtype=_np.float64)
-        for i, sid in enumerate(sids):
-            if sid >= 0:
-                out[i] = rows[int(sid)]
-        return out
+        # Every id below 0 maps to -1: the sentinel row.
+        return self._table[_np.maximum(sids, -1)]
 
     def value(self, sid: int, w: int) -> float:
         """Scalar value of set *sid* under environment *w*."""
@@ -136,8 +137,7 @@ class BatchedEvaluator:
             return 1.0
         if not self.use_numpy:
             return self._scalar[w].value(sid)
-        self._fill((sid,))
-        return float(self._rows[int(sid)][w])
+        return float(self.matrix([sid])[0, w])
 
 
 @dataclass
@@ -213,13 +213,18 @@ class _PlanMeta:
             sname: _np.asarray(nids, dtype=_np.int64)
             for sname, nids in struct_groups.items()
         }
-        atom_groups: dict[Atom, list[int]] = {}
-        for nid in _np.flatnonzero(mode_arr == _MODE_ATOM).tolist():
-            atom_groups.setdefault(plan.special_l[nid], []).append(nid)
-        self.atom_groups = {
-            atom: _np.asarray(nids, dtype=_np.int64)
-            for atom, nids in atom_groups.items()
-        }
+        # Injected-atom nodes (loop boundaries, control registers): their
+        # atoms, and per node the index of its atom in that list.
+        self.atom_nids = _np.flatnonzero(mode_arr == _MODE_ATOM)
+        slots: dict[Atom, int] = {}
+        self.atom_slot = _np.asarray(
+            [
+                slots.setdefault(plan.special_l[nid], len(slots))
+                for nid in self.atom_nids.tolist()
+            ],
+            dtype=_np.int64,
+        )
+        self.atoms = list(slots)
         n_fubs = plan.n_fubs
         self.node_counts = _np.bincount(
             self.fub_arr[self.elig_mask], minlength=n_fubs
@@ -291,8 +296,9 @@ def solve_batched(
         measured = ports.avf if ports is not None else None
         if measured is not None:
             avf[nids, :] = measured
-    for atom, nids in meta.atom_groups.items():
-        avf[nids, :] = bev._atom_row(atom)
+    if len(meta.atom_nids):
+        atom_ids = _np.asarray(plan.interner.atom_ids(meta.atoms), dtype=_np.int64)
+        avf[meta.atom_nids, :] = bev.atom_matrix()[atom_ids[meta.atom_slot]]
 
     n_fubs = plan.n_fubs
     width = len(envs)

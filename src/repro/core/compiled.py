@@ -7,8 +7,10 @@ This module lowers the annotated model **once** into integer form:
 
 * net names are interned to dense node ids,
 * fan-in/fan-out become CSR ``(indptr, indices)`` arrays,
-* annotation sets are interned to dense set ids
-  (:class:`repro.core.pavf.SetInterner`) with a memoized union kernel,
+* atoms are interned to dense ids in canonical ``(kind, name, bit)``
+  order and annotation sets to dense set ids, each stored as the sorted
+  tuple of its atom ids (:class:`repro.core.pavf.SetInterner`), with a
+  memoized union kernel that merges those tuples,
 * the forward and backward topological orders are computed once and
   per-FUB schedules are derived from them by bucketing,
 * loop detection runs as an integer Tarjan over the CSR arrays.
@@ -26,14 +28,17 @@ count.
 
 Numeric evaluation of interned sets (:class:`SetEvaluator`) is the
 index-based kernel shared by resolution, FUBIO merging and the relaxation
-trace; it uses numpy segmented sums when the ``[numpy]`` extra is
-installed and a pure-Python loop otherwise, with bit-identical results
-(both sum the same atoms in the same stable order).
+trace: one atom-value vector per environment, gathered by member tuple.
+It uses numpy fancy-index gathers and batched tree sums when the
+``[numpy]`` extra is installed and a pure-Python loop otherwise, with
+bit-identical results (both sum the same atoms in the same stable order
+through the same tree).
 """
 
 from __future__ import annotations
 
 import warnings
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import SartError
@@ -46,8 +51,6 @@ from repro.core.pavf import (
     PavfEnv,
     SetInterner,
     TOP_SET,
-    collapse_if_large,
-    union,
 )
 from repro.core.partition import FubPartition
 from repro.core.relaxation import RelaxationTrace, WarmStart
@@ -72,8 +75,9 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 HAVE_NUMPY = _np is not None
 
 # On-disk/artifact format version of compiled plans. v2: shared-memory
-# export layout and the shared-prefix set-id shipping protocol.
-PLAN_FORMAT = 2
+# export layout and the shared-prefix set-id shipping protocol. v3: the
+# interner's atom-id table and per-set member tuples.
+PLAN_FORMAT = 3
 
 # Below this node count a worker pool costs more than it saves (process
 # startup, boundary shipping, per-worker memo warmup), so relaxation
@@ -95,22 +99,54 @@ _MODE_STRUCT = 1   # measured structure AVF when available, else MIN
 _MODE_ATOM = 2     # injected atom value (loop boundaries, control regs)
 
 
+def _halve(arr):
+    """Balanced pairwise reduction along axis 1 (width a power of two)."""
+    while arr.shape[1] > 1:
+        arr = arr[:, 0::2] + arr[:, 1::2]
+    return arr[:, 0]
+
+
+def _gather_buckets(members: Sequence[tuple[int, ...]], sids: Iterable[int]):
+    """Group *sids* by padded width for a vectorized gather (needs numpy).
+
+    Yields ``(ids, index)`` per width: ``index`` is a ``(len(ids), width)``
+    array of atom ids, row *i* holding set ``ids[i]``'s member tuple and
+    padded with ``-1``. Gathering from an atom-value array whose last
+    entry is ``0.0`` reproduces each set's zero-padded leaf row exactly.
+    """
+    buckets: dict[int, list[int]] = {}
+    for sid in sids:
+        k = len(members[sid])
+        width = k if not (k & (k - 1)) else 1 << k.bit_length()
+        buckets.setdefault(width, []).append(sid)
+    for width, ids in buckets.items():
+        rows = [members[sid] for sid in ids]
+        lens = _np.fromiter(map(len, rows), dtype=_np.intp, count=len(rows))
+        index = _np.full((len(rows), width), -1, dtype=_np.intp)
+        index[_np.arange(width) < lens[:, None]] = _np.fromiter(
+            chain.from_iterable(rows), dtype=_np.intp, count=int(lens.sum())
+        )
+        yield ids, index
+
+
 class SetEvaluator:
     """Numeric values of interned pAVF sets under one environment.
 
     Values are cached per set id, so the cost of an environment is one
-    capped sum per *distinct* set rather than per node per use.
+    ``env.lookup`` per distinct atom (the atom-value vector, indexed by
+    the interner's atom ids) plus one capped sum per *distinct* set.
 
-    Both code paths reduce a set's sorted atom values through the same
-    balanced binary tree (pairwise halving, zero-padded to a power of
-    two). Element-wise IEEE additions are exact and ``x + 0.0 == x`` for
-    the non-negative values involved, so the tree's rounding is fully
-    determined by its shape — the vectorized numpy path (one batched
-    halving loop per size bucket) and the pure-Python fallback are
-    bit-identical by construction, and a value never depends on how
-    ``fill`` batches were formed. (A left-to-right ``reduceat`` sum would
-    NOT be reproducible: numpy's reductions use SIMD partial
-    accumulators with version-dependent rounding order.)
+    Both code paths reduce a set's atom values, in member-tuple (that is,
+    canonical atom) order, through the same balanced binary tree
+    (pairwise halving, zero-padded to a power of two). Element-wise IEEE
+    additions are exact and ``x + 0.0 == x`` for the non-negative values
+    involved, so the tree's rounding is fully determined by its shape —
+    the vectorized numpy path (one gather and one batched halving loop per
+    width bucket) and the pure-Python fallback are bit-identical by
+    construction, and a value never depends on how ``fill`` batches were
+    formed. (A left-to-right ``reduceat`` sum would NOT be reproducible:
+    numpy's reductions use SIMD partial accumulators with
+    version-dependent rounding order.)
     """
 
     def __init__(
@@ -120,14 +156,17 @@ class SetEvaluator:
         self.env = env
         self.use_numpy = HAVE_NUMPY if use_numpy is None else (use_numpy and HAVE_NUMPY)
         self._vals: list[float | None] = [0.0, 1.0]  # EMPTY, TOP
-        self._atom_vals: dict[Atom, float] = {}
+        self._vector: list[float] = []
+        self._array = None  # numpy copy of _vector plus a trailing 0.0 pad
 
-    def _atom_value(self, atom: Atom) -> float:
-        val = self._atom_vals.get(atom)
-        if val is None:
-            val = self.env.lookup(atom)
-            self._atom_vals[atom] = val
-        return val
+    def atom_values(self) -> list[float]:
+        """Value of every atom id under this environment."""
+        atoms = self.interner.atoms
+        if len(self._vector) != len(atoms):  # the table grew: ids may have moved
+            lookup = self.env.lookup
+            self._vector = [lookup(atom) for atom in atoms]
+            self._array = None
+        return self._vector
 
     def value(self, sid: int) -> float:
         """Capped tree-sum value of set *sid* (cached)."""
@@ -136,8 +175,8 @@ class SetEvaluator:
             vals.extend([None] * (len(self.interner) - len(vals)))
         val = vals[sid]
         if val is None:
-            atom_value = self._atom_value
-            level = [atom_value(a) for a in self.interner.sorted_atoms(sid)]
+            vec = self.atom_values()
+            level = [vec[i] for i in self.interner.members[sid]]
             k = len(level)
             if k & (k - 1):  # pad to the next power of two with exact zeros
                 level.extend([0.0] * ((1 << k.bit_length()) - k))
@@ -163,25 +202,12 @@ class SetEvaluator:
             for sid in pending:
                 self.value(sid)
             return
-        # Bucket by padded width so each bucket is one rectangular array
-        # reduced with a batched version of the same halving loop.
-        sorted_atoms = self.interner.sorted_atoms
-        atom_value = self._atom_value
-        buckets: dict[int, tuple[list[int], list[tuple[Atom, ...]]]] = {}
-        for sid in pending:
-            atoms = sorted_atoms(sid)
-            k = len(atoms)
-            width = k if not (k & (k - 1)) else 1 << k.bit_length()
-            ids, rows = buckets.setdefault(width, ([], []))
-            ids.append(sid)
-            rows.append(atoms)
-        for width, (ids, rows) in buckets.items():
-            arr = _np.zeros((len(ids), width), dtype=_np.float64)
-            for i, atoms in enumerate(rows):
-                arr[i, : len(atoms)] = [atom_value(a) for a in atoms]
-            while arr.shape[1] > 1:
-                arr = arr[:, 0::2] + arr[:, 1::2]
-            for sid, val in zip(ids, _np.minimum(arr[:, 0], 1.0).tolist()):
+        vec = self.atom_values()
+        if self._array is None:
+            self._array = _np.array(vec + [0.0], dtype=_np.float64)
+        for ids, index in _gather_buckets(self.interner.members, pending):
+            summed = _halve(self._array[index])
+            for sid, val in zip(ids, _np.minimum(summed, 1.0).tolist()):
                 vals[sid] = val
 
 
@@ -402,6 +428,8 @@ class SolvePlan:
 
     def _lower_model(self) -> None:
         model, ids, n = self.model, self.ids, self.n
+        # Register every atom first, so ids are assigned once in order.
+        self.interner.register(model.atoms())
         intern = self.interner.id_of
         fwd_fixed = self.fwd_fixed = [-1] * n
         for net, atoms in model.forward_fixed.items():
@@ -652,7 +680,7 @@ class SolvePlan:
         """
         fanin_ptr, fanin_ix = self.fanin_ptr, self.fanin_ix
         fixed, fub_of = self.fwd_fixed, self.fub_of
-        sets, intern = self.interner.sets, self.interner.id_of
+        union_id = self.interner.union_id
         memo = self._memo_for(max_terms)
         for nid in order:
             sid = fixed[nid]
@@ -686,9 +714,7 @@ class SolvePlan:
             key = tuple(key_list)
             sid = memo.get(key)
             if sid is None:
-                merged = collapse_if_large(union(*[sets[s] for s in key]), max_terms)
-                sid = intern(merged)
-                memo[key] = sid
+                sid = memo[key] = union_id(key, max_terms)
             out[nid] = sid
 
     def _backward_pass(
@@ -703,7 +729,7 @@ class SolvePlan:
         """Backward fixpoint over *order* (consumers pass annotations up)."""
         fanout_ptr, fanout_ix = self.fanout_ptr, self.fanout_ix
         through, fub_of, sink = self.through, self.fub_of, self.sink
-        sets, intern = self.interner.sets, self.interner.id_of
+        union_id = self.interner.union_id
         memo = self._memo_for(max_terms)
         dangling_id = _EMPTY_ID if dangling == "unace" else _TOP_ID
         for nid in order:
@@ -740,9 +766,7 @@ class SolvePlan:
             key = tuple(key_list)
             sid = memo.get(key)
             if sid is None:
-                merged = collapse_if_large(union(*[sets[s] for s in key]), max_terms)
-                sid = intern(merged)
-                memo[key] = sid
+                sid = memo[key] = union_id(key, max_terms)
             out[nid] = sid
 
     def solve_monolithic(
@@ -1111,6 +1135,11 @@ def _apply_warm_start(
             (f_bnd, warm.f_boundary),
             (b_bnd, warm.b_boundary),
         )
+    # Seeds may carry atoms this plan never registered (an edited design's
+    # baseline): rank them in one pass before interning.
+    plan.interner.register(
+        set().union(*{s for _, seeds in tables for s in seeds.values()})
+    )
     for table, seeds in tables:
         for name, value in seeds.items():
             nid = ids.get(name)

@@ -24,15 +24,20 @@ from repro.core.graphmodel import AvfModel
 from repro.core.pavf import Atom, SetInterner, TOP_SET, collapse_if_large, union
 
 
-def shared_interner(interner: SetInterner | None) -> SetInterner:
+def shared_interner(interner: SetInterner | None, model: AvfModel) -> SetInterner:
     """Normalize an optional interner argument (None -> fresh table).
 
     Both directional solvers intern the sets they produce through this
     helper's result, so passing one :class:`SetInterner` to a forward and a
     backward solve (as :mod:`repro.core.relaxation` does across all FUBs
     and iterations) shares every duplicate annotation set between them.
+    A fresh table registers *model*'s atoms up front, so their ids are
+    ranked once instead of as each first appears in a set.
     """
-    return interner if interner is not None else SetInterner()
+    if interner is None:
+        interner = SetInterner()
+        interner.register(model.atoms())
+    return interner
 
 
 def solve_forward(
@@ -57,7 +62,7 @@ def solve_forward(
 
     members = subset if subset is not None else graph.nodes.keys()
     out: dict[str, frozenset[Atom]] = {}
-    interner = shared_interner(interner)
+    interner = shared_interner(interner, model)
 
     indegree: dict[str, int] = {}
     dependents: dict[str, list[str]] = {}
@@ -140,7 +145,7 @@ def solve_backward(
 
     members = subset if subset is not None else graph.nodes.keys()
     out: dict[str, frozenset[Atom]] = {}
-    interner = shared_interner(interner)
+    interner = shared_interner(interner, model)
 
     indegree: dict[str, int] = {}
     dependents: dict[str, list[str]] = {}

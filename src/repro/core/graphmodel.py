@@ -123,6 +123,14 @@ class AvfModel:
     def add_sink(self, net: str, atom: Atom) -> None:
         self.static_sinks.setdefault(net, []).append(atom)
 
+    def atoms(self) -> set[Atom]:
+        """Every atom of a fixed set: all the atoms a solve can produce."""
+        return set().union(
+            *self.forward_fixed.values(),
+            *self.contrib_through.values(),
+            *self.static_sinks.values(),
+        )
+
 
 def structure_nets(
     graph: NetGraph,

@@ -23,7 +23,11 @@ pAVFs are just a new environment.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 # Atom kinds.
 READ = "read"        # structure read-port bit (pAVF_R source)
@@ -59,6 +63,9 @@ class Atom:
 
 
 TOP = Atom(TOP_KIND, "", 0)
+# Canonical atom order as a C-level key (the dataclass order, without
+# a generated ``__lt__`` call per comparison).
+_atom_key = attrgetter("kind", "name", "bit")
 TOP_SET: frozenset[Atom] = frozenset((TOP,))
 EMPTY: frozenset[Atom] = frozenset()
 
@@ -149,29 +156,117 @@ class SetInterner:
     compiled kernels (:mod:`repro.core.compiled`) index with.
 
     Id 0 is always the empty set and id 1 the TOP singleton.
+
+    Atoms get dense integer ids too, in canonical ``(kind, name, bit)``
+    order: ``atoms[i]`` is atom *i*. Each set's members are stored as the
+    sorted tuple of its atom ids (``members[sid]``), fixed when the set is
+    interned, so its canonical order never needs an :class:`Atom`
+    comparison. An atom that arrives after the table was built and sorts
+    before existing atoms re-ranks the table: ids are reassigned in
+    order and every member tuple is relabelled (the relabelling is
+    monotone, so tuples stay sorted). Ids only move when atoms are added,
+    so holders of atom-indexed value vectors rebuild them whenever
+    ``len(atoms)`` differs from their vector's length.
     """
 
     EMPTY_ID = 0
     TOP_ID = 1
 
-    __slots__ = ("sets", "_ids", "_sorted")
+    __slots__ = ("sets", "members", "atoms", "_ids", "_atom_ids")
 
     def __init__(self) -> None:
         self.sets: list[frozenset[Atom]] = [EMPTY, TOP_SET]
+        self.members: list[tuple[int, ...]] = [(), (0,)]
+        self.atoms: list[Atom] = [TOP]
         self._ids: dict[frozenset[Atom], int] = {EMPTY: 0, TOP_SET: 1}
-        self._sorted: list[tuple[Atom, ...] | None] = [(), (TOP,)]
+        self._atom_ids: dict[Atom, int] = {TOP: 0}
 
     def __len__(self) -> int:
         return len(self.sets)
+
+    def __getstate__(self):
+        # Member tuples travel as two flat arrays: one pickled object
+        # instead of one per set.
+        members = self.members
+        flat = array("i", chain.from_iterable(members))
+        return self.atoms, self.sets, array("i", map(len, members)), flat
+
+    def __setstate__(self, state) -> None:
+        self.atoms, self.sets, lengths, flat = state
+        self._ids = {atoms: sid for sid, atoms in enumerate(self.sets)}
+        shared = list(range(len(self.atoms)))  # one int object per atom id
+        self._atom_ids = dict(zip(self.atoms, shared))
+        ids = list(map(shared.__getitem__, flat))
+        members = self.members = []
+        start = 0
+        for k in lengths:
+            members.append(tuple(ids[start : start + k]))
+            start += k
+
+    def register(self, atoms: Iterable[Atom]) -> None:
+        """Give every atom of *atoms* an id, keeping ids in canonical order."""
+        known = self._atom_ids
+        fresh = sorted(set(atoms).difference(known), key=_atom_key)
+        if not fresh:
+            return
+        table = self.atoms
+        if _atom_key(fresh[0]) > _atom_key(table[-1]):
+            for atom in fresh:  # past the end of the order: ids only append
+                known[atom] = len(table)
+                table.append(atom)
+            return
+        ranked = sorted(table + fresh, key=_atom_key)
+        known.clear()
+        known.update((atom, aid) for aid, atom in enumerate(ranked))
+        relabel = [known[atom] for atom in table].__getitem__
+        members = self.members
+        for sid, ids in enumerate(members):
+            members[sid] = tuple(map(relabel, ids))
+        table[:] = ranked
+
+    def atom_ids(self, atoms: Iterable[Atom]) -> list[int]:
+        """Current ids of *atoms*, registering any the table lacks."""
+        atoms = list(atoms)
+        self.register(atoms)
+        known = self._atom_ids
+        return [known[a] for a in atoms]
 
     def id_of(self, atoms: frozenset[Atom]) -> int:
         """Intern *atoms* and return its dense id."""
         sid = self._ids.get(atoms)
         if sid is None:
+            known = self._atom_ids
+            try:
+                ids = sorted(map(known.__getitem__, atoms))
+            except KeyError:
+                self.register(atoms)
+                ids = sorted(map(known.__getitem__, atoms))
             sid = len(self.sets)
             self._ids[atoms] = sid
             self.sets.append(atoms)
-            self._sorted.append(None)
+            self.members.append(tuple(ids))
+        return sid
+
+    def union_id(self, sids: Sequence[int], max_terms: int = 0) -> int:
+        """Intern the union of sets *sids* (the compiled kernels' join).
+
+        Same result as interning ``collapse_if_large(union(...))``. A new
+        set's member tuple is the merge of its components' id tuples:
+        its atoms are neither sorted nor looked up.
+        """
+        if self.TOP_ID in sids:
+            return self.TOP_ID  # TOP absorbs the union
+        merged = frozenset().union(*map(self.sets.__getitem__, sids))
+        if 0 < max_terms < len(merged):
+            return self.TOP_ID
+        sid = self._ids.get(merged)
+        if sid is None:
+            members = self.members
+            sid = len(self.sets)
+            self._ids[merged] = sid
+            self.sets.append(merged)
+            merged_ids = set().union(*map(members.__getitem__, sids))
+            members.append(tuple(sorted(merged_ids)))
         return sid
 
     def canon(self, atoms: frozenset[Atom]) -> frozenset[Atom]:
@@ -180,11 +275,14 @@ class SetInterner:
 
     def sorted_atoms(self, sid: int) -> tuple[Atom, ...]:
         """Members of set *sid* in stable (kind, name, bit) order."""
-        cached = self._sorted[sid]
-        if cached is None:
-            cached = tuple(sorted(self.sets[sid]))
-            self._sorted[sid] = cached
-        return cached
+        return tuple(map(self.atoms.__getitem__, self.members[sid]))
+
+    @property
+    def _sorted(self) -> list[tuple[int, ...]]:
+        # What perfbench/layertrace.py probes to tell a first-touch
+        # ``sorted_atoms`` call from a cached one. Every set's canonical
+        # order exists from intern time, so no entry is ever missing.
+        return self.members
 
 
 def collapse_if_large(atoms: frozenset[Atom], max_terms: int) -> frozenset[Atom]:

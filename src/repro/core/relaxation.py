@@ -132,7 +132,7 @@ def relax(
     trace = RelaxationTrace()
     # One interner across every FUB, iteration and direction: duplicate
     # annotation sets are shared instead of re-allocated per solve.
-    interner = shared_interner(interner)
+    interner = shared_interner(interner, model)
 
     f_boundary: dict[str, frozenset[Atom]] = {}
     b_boundary: dict[str, frozenset[Atom]] = {}

@@ -144,22 +144,17 @@ def _flatten(rows) -> tuple[list[int], list[int]]:
 
 
 def _encode_interner(interner: SetInterner):
-    """Flatten the interner into (set CSR, atom columns, name blob)."""
-    atom_ix: dict[Atom, int] = {}
-    set_ptr = [0]
-    set_aix: list[int] = []
-    for sid in range(len(interner)):
-        for atom in interner.sorted_atoms(sid):
-            aix = atom_ix.get(atom)
-            if aix is None:
-                aix = atom_ix[atom] = len(atom_ix)
-            set_aix.append(aix)
-        set_ptr.append(len(set_aix))
+    """Flatten the interner into (set CSR, atom columns, name blob).
+
+    Set members are shipped as the interner's own atom ids; the atom
+    columns are its atom table, in id order.
+    """
+    set_ptr, set_aix = _flatten(interner.members)
     atom_kind: list[int] = []
     atom_bit: list[int] = []
     atom_name_ptr = [0]
     blob = bytearray()
-    for atom in atom_ix:  # insertion order == index order
+    for atom in interner.atoms:
         atom_kind.append(_KIND_CODE[atom.kind])
         atom_bit.append(atom.bit)
         blob += atom.name.encode("utf-8")
@@ -177,6 +172,7 @@ def _decode_interner(
             Atom(_ATOM_KINDS[atom_kind[i]], blob[lo:hi].decode("utf-8"), atom_bit[i])
         )
     interner = SetInterner()
+    interner.register(atoms)  # one ranking pass, not one per new atom
     for sid in range(2, len(set_ptr) - 1):  # 0/1 are always EMPTY/TOP
         members = frozenset(atoms[a] for a in set_aix[set_ptr[sid] : set_ptr[sid + 1]])
         assigned = interner.id_of(members)

@@ -112,7 +112,7 @@ class PlanArtifact:
     fingerprint: str
     plan: Any                    # repro.core.compiled.SolvePlan
     cached: bool = field(default=False, compare=False)
-    format: int = 2              # repro.core.compiled.PLAN_FORMAT at build
+    format: int = 3              # repro.core.compiled.PLAN_FORMAT at build
     # Lazily computed per-FUB sub-fingerprints (repro.pipeline.delta);
     # memoized because ECO paths ask several times per plan.
     _fub_fps: Any = field(default=None, compare=False, repr=False)

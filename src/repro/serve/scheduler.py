@@ -268,6 +268,7 @@ class JobScheduler:
     def _complete(self, job: Job, result: dict) -> None:
         now = time.time()
         self.journal.record(event=DONE, job=job.id, result=result, time=now)
+        self._release(job)
         job.transition(DONE, result=result)
         self.counters.bump("completed")
         eco = result.get("eco") if isinstance(result, dict) else None
@@ -283,8 +284,15 @@ class JobScheduler:
     def _fail(self, job: Job, message: str) -> None:
         now = time.time()
         self.journal.record(event=FAILED, job=job.id, error=message, time=now)
+        self._release(job)
         job.transition(FAILED, error=message)
         self.counters.bump("failed")
+
+    def _release(self, job: Job) -> None:
+        # Free the job's queue slot before it turns terminal: a client that
+        # sees it finish may submit again at once and must find room.
+        with self._cond:
+            self._running.discard(job.id)
 
     def _cleanup_checkpoint(self, job: Job) -> None:
         try:

@@ -9,6 +9,8 @@ design that exercises every resolution mode: measured structures
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.batched import (
     HAVE_NUMPY,
@@ -21,6 +23,7 @@ from repro.core.graphmodel import StructurePorts
 from repro.core.report import fub_report
 from repro.core.sart import SartConfig, build_env, build_plan, run_sart
 from repro.designs.bigcore.systolic import SystolicConfig, build_systolic
+from tests.core import atomsets
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
@@ -132,6 +135,23 @@ class TestBatchedEvaluator:
                 assert bev.value(sid, w) == SetEvaluator(
                     plan.interner, env, use_numpy=False
                 ).value(sid)
+
+    @needs_numpy
+    @given(
+        script=atomsets.scripts(),
+        bindings=st.lists(atomsets.envs(), min_size=1, max_size=4),
+    )
+    def test_columns_match_scalar_paths_across_late_atoms(self, script, bindings):
+        interner, early = script.build()
+        bev = BatchedEvaluator(interner, bindings)
+        bev.matrix(early[1::2])
+        every = script.add_late(interner)
+        grid = bev.matrix(every)
+        for w, env in enumerate(bindings):
+            for use_numpy in (False, True):
+                scalar = SetEvaluator(interner, env, use_numpy=use_numpy)
+                for i, sid in enumerate(every):
+                    assert grid[i, w] == scalar.value(sid), (sid, w, use_numpy)
 
     @needs_numpy
     def test_unvisited_ids_evaluate_to_one(self, plan, envs):

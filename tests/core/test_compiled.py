@@ -7,6 +7,7 @@ reusable across environments and deterministic at any worker count.
 """
 
 import pytest
+from hypothesis import given
 
 from repro.core.compiled import HAVE_NUMPY, SetEvaluator, SolvePlan, resolve_ids
 from repro.core.graphmodel import StructurePorts
@@ -15,6 +16,7 @@ from repro.core.sart import SartConfig, build_env, build_plan, run_sart
 from repro.errors import SartError
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.graph import extract_graph
+from tests.core import atomsets
 
 
 def _pipeline(n_fubs=4, stages_per_fub=3, fan=2):
@@ -291,6 +293,36 @@ class TestSetEvaluator:
         assert ev.value(big) == 1.0  # 30 unbound atoms at 1.0 each, capped
         for sid in sids:
             assert 0.0 <= ev.value(sid) <= 1.0
+
+    @given(script=atomsets.scripts())
+    def test_member_tuples_keep_canonical_order(self, script):
+        interner, _ = script.build()
+        for sids in (range(len(interner)), script.add_late(interner)):
+            for sid in sids:
+                members = interner.members[sid]
+                assert list(members) == sorted(set(members))
+                assert interner.sorted_atoms(sid) == tuple(
+                    sorted(interner.sets[sid])
+                )
+        assert interner.atoms == sorted(interner.atoms)
+
+    @given(script=atomsets.scripts(), env=atomsets.envs())
+    def test_paths_match_reference_tree_sum_across_late_atoms(self, script, env):
+        # Evaluators built (and partly filled) before late atoms arrive
+        # must follow the table when it grows or re-ranks.
+        interner, early = script.build()
+        paths = [SetEvaluator(interner, env, use_numpy=False)]
+        if HAVE_NUMPY:
+            paths.append(SetEvaluator(interner, env, use_numpy=True))
+        for ev in paths:
+            ev.fill(early[::2])
+        every = script.add_late(interner)
+        for ev in paths:
+            ev.fill(every)
+        for sid in every:
+            want = atomsets.tree_sum(interner.sets[sid], env)
+            for ev in paths:
+                assert ev.value(sid) == want, (sid, ev.use_numpy)
 
 
 def test_resolve_ids_matches_resolve(tinycore_module):

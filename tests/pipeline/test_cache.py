@@ -147,6 +147,34 @@ def test_stage_version_bump_invalidates_warm_cache(tmp_path, monkeypatch):
     assert "ports" not in cached    # pre-deadline entries are stale
 
 
+def test_plan_format_bump_rebuilds_cached_plans(tmp_path, monkeypatch):
+    # Plans cached before the interner gained its atom-id table (plan
+    # version 2) pickled a different SetInterner layout: a store holding
+    # one must rebuild the plan, not unpickle the old layout.
+    from repro.core.compiled import PLAN_FORMAT
+    from repro.pipeline import spec_from_mapping
+
+    spec = spec_from_mapping(
+        {"design": "systolic@rows=2,cols=2", "sweep": {"points": 2}}
+    )
+    cache = tmp_path / "cache"
+    with monkeypatch.context() as m:
+        m.setitem(STAGE_VERSIONS, "plan", 2)
+        old = execute(spec, store=ArtifactStore(cache))
+    assert not old.plan.cached
+
+    outcome = execute(spec, store=ArtifactStore(cache))
+    assert STAGE_VERSIONS["plan"] == PLAN_FORMAT == 3
+    assert not outcome.plan.cached
+    assert outcome.plan.format == PLAN_FORMAT
+    assert [p.result.report for p in outcome.sweep] == [
+        p.result.report for p in old.sweep
+    ]
+    stages = [stage for stage, _ in ArtifactStore(cache).entries()]
+    assert stages.count("plan") == 2
+    assert execute(spec, store=ArtifactStore(cache)).plan.cached
+
+
 def test_checkpoint_bypasses_campaign_cache(tmp_path):
     cache = tmp_path / "cache"
     ckpt = str(tmp_path / "ckpt.json")
