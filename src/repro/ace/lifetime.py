@@ -37,14 +37,6 @@ from repro.errors import AceError
 
 
 @dataclass
-class _Segment:
-    start: int
-    ace_bits: int
-    last_read: int | None = None
-    reads: int = 0
-
-
-@dataclass
 class DeadlineDistribution:
     """Weighted histogram of error-reporting deadlines (cycles).
 
@@ -194,31 +186,81 @@ class StructureAvf:
         return summary
 
 
+class _Track:
+    """One registered structure: its accumulators and its open segments.
+
+    An open segment is a flat ``[start, ace_bits, last_read]`` record
+    keyed by entry; ``last_read`` stays None until the segment is read.
+    """
+
+    __slots__ = ("stats", "open", "latency_sum", "latency_count")
+
+    def __init__(self, stats: StructureAvf) -> None:
+        self.stats = stats
+        self.open: dict[int, list] = {}
+        self.latency_sum = 0.0
+        self.latency_count = 0
+
+
+def _close(track: _Track, segment: list, end: int, consumed: bool) -> None:
+    """Integrate one segment's ACE residency and its reporting deadline."""
+    start, ace_bits, last_read = segment
+    if ace_bits <= 0:
+        return
+    if last_read is not None:
+        span = max(0, last_read - start)
+    elif consumed:
+        # Consumed at release without an explicit read event
+        # (e.g. drained): the whole residency mattered.
+        span = max(0, end - start)
+    else:
+        span = 0  # written, never needed: un-ACE residency
+    stats = track.stats
+    stats.ace_bit_cycles += span * ace_bits
+    if last_read is not None or consumed:
+        # A consumption event: the span is the error-reporting deadline
+        # for this value. Never-consumed segments record nothing (and
+        # contribute 0 bit-cycles above), which keeps histogram mass ==
+        # ace_bit_cycles exact.
+        stats.deadlines.record(span, ace_bits)
+    track.latency_sum += span
+    track.latency_count += 1
+
+
 class AceLifetimeAnalyzer:
-    """Implements the :class:`~repro.perfmodel.structures.EventRecorder`."""
+    """Implements the :class:`~repro.perfmodel.structures.EventRecorder`.
+
+    Events are accepted between :meth:`register` and :meth:`finish`;
+    :meth:`finish` hands out the final :class:`StructureAvf` objects, so
+    any later event raises :class:`~repro.errors.AceError` instead of
+    moving results the caller already holds.
+    """
 
     def __init__(self) -> None:
         self.structures: dict[str, StructureAvf] = {}
-        self._open: dict[tuple[str, int], _Segment] = {}
-        self._latency_sum: dict[str, float] = {}
-        self._latency_count: dict[str, int] = {}
+        self._tracks: dict[str, _Track] = {}
+        # Structures still accepting events; emptied by finish(), so the
+        # after-finish check costs nothing on the per-event path.
+        self._live: dict[str, _Track] = {}
         self._finished = False
 
     def register(
         self, name: str, entries: int, bits_per_entry: int, nread: int = 1, nwrite: int = 1
     ) -> None:
+        if self._finished:
+            raise AceError(f"structure {name!r} registered after finish()")
         if name in self.structures:
             raise AceError(f"structure {name!r} registered twice")
-        self.structures[name] = StructureAvf(
+        stats = self.structures[name] = StructureAvf(
             name=name, entries=entries, bits_per_entry=bits_per_entry,
             nread=nread, nwrite=nwrite,
         )
+        self._tracks[name] = self._live[name] = _Track(stats)
 
-    def _require(self, struct: str) -> StructureAvf:
-        found = self.structures.get(struct)
-        if found is None:
-            raise AceError(f"events for unregistered structure {struct!r}")
-        return found
+    def _no_track(self, struct: str) -> AceError:
+        if self._finished:
+            return AceError(f"event for {struct!r} after finish()")
+        return AceError(f"events for unregistered structure {struct!r}")
 
     # ------------------------------------------------------------------
     # EventRecorder interface
@@ -226,79 +268,70 @@ class AceLifetimeAnalyzer:
     def on_write(
         self, struct: str, entry: int, cycle: int, ace: bool, ace_bits: int | None, bits: int
     ) -> None:
-        stats = self._require(struct)
-        key = (struct, entry)
-        previous = self._open.pop(key, None)
+        try:
+            track = self._live[struct]
+        except KeyError:
+            raise self._no_track(struct) from None
+        # pop + insert keeps the open set in write order, the order
+        # finish() integrates unknown residency in.
+        previous = track.open.pop(entry, None)
         if previous is not None:
-            self._close_segment(stats, previous, cycle, consumed=previous.reads > 0)
+            _close(track, previous, cycle, previous[2] is not None)
         effective_bits = ace_bits if ace_bits is not None else (bits if ace else 0)
-        self._open[key] = _Segment(start=cycle, ace_bits=effective_bits)
+        track.open[entry] = [cycle, effective_bits, None]
+        stats = track.stats
         stats.total_writes += 1
         if effective_bits > 0:
             stats.ace_writes += 1
             stats.ace_write_bitsum += effective_bits
 
     def on_read(self, struct: str, entry: int, cycle: int, ace: bool) -> None:
-        stats = self._require(struct)
-        segment = self._open.get((struct, entry))
+        try:
+            track = self._live[struct]
+        except KeyError:
+            raise self._no_track(struct) from None
+        segment = track.open.get(entry)
         if segment is None:
             raise AceError(f"{struct}[{entry}]: read before write")
-        segment.last_read = cycle
-        segment.reads += 1
+        segment[2] = cycle
+        stats = track.stats
         stats.total_reads += 1
-        if ace and segment.ace_bits > 0:
+        if ace and segment[1] > 0:
             stats.ace_reads += 1
-            stats.ace_read_bitsum += segment.ace_bits
+            stats.ace_read_bitsum += segment[1]
 
     def on_release(self, struct: str, entry: int, cycle: int, consumed: bool) -> None:
-        stats = self._require(struct)
-        segment = self._open.pop((struct, entry), None)
+        try:
+            track = self._live[struct]
+        except KeyError:
+            raise self._no_track(struct) from None
+        segment = track.open.pop(entry, None)
         if segment is None:
             raise AceError(f"{struct}[{entry}]: release before write")
-        self._close_segment(stats, segment, cycle, consumed=consumed)
+        _close(track, segment, cycle, consumed)
 
     # ------------------------------------------------------------------
-    def _close_segment(
-        self, stats: StructureAvf, segment: _Segment, end: int, consumed: bool
-    ) -> None:
-        if segment.ace_bits <= 0:
-            return
-        if segment.last_read is not None:
-            span = max(0, segment.last_read - segment.start)
-        elif consumed:
-            # Consumed at release without an explicit read event
-            # (e.g. drained): the whole residency mattered.
-            span = max(0, end - segment.start)
-        else:
-            span = 0  # written, never needed: un-ACE residency
-        stats.ace_bit_cycles += span * segment.ace_bits
-        if segment.last_read is not None or consumed:
-            # A consumption event: the span is the error-reporting
-            # deadline for this value. Never-consumed segments record
-            # nothing (and contribute 0 bit-cycles above), which keeps
-            # histogram mass == ace_bit_cycles exact.
-            stats.deadlines.record(span, segment.ace_bits)
-        self._latency_sum[stats.name] = self._latency_sum.get(stats.name, 0.0) + span
-        self._latency_count[stats.name] = self._latency_count.get(stats.name, 0) + 1
-
     def finish(self, cycles: int) -> dict[str, StructureAvf]:
         """Close the analysis window; open segments become 'unknown'."""
         if self._finished:
             raise AceError("finish() called twice")
         self._finished = True
-        for (struct, _entry), segment in self._open.items():
-            if segment.ace_bits > 0:
-                stats = self.structures[struct]
-                stats.unknown_bit_cycles += max(0, cycles - segment.start) * segment.ace_bits
-        self._open.clear()
-        for stats in self.structures.values():
+        for track in self._live.values():
+            stats = track.stats
+            for start, ace_bits, _last_read in track.open.values():
+                if ace_bits > 0:
+                    stats.unknown_bit_cycles += max(0, cycles - start) * ace_bits
+            track.open.clear()
             stats.cycles = cycles
+        self._live = {}
         return self.structures
 
     def mean_ace_latency(self, struct: str) -> float:
         """Average ACE residency per value (Little's-law latency term)."""
-        count = self._latency_count.get(struct, 0)
-        return self._latency_sum.get(struct, 0.0) / count if count else 0.0
+        track = self._tracks.get(struct)
+        if track is None or not track.latency_count:
+            return 0.0
+        return track.latency_sum / track.latency_count
 
 
 def merge_deadline_summaries(summaries: Iterable[Mapping]) -> dict:

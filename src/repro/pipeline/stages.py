@@ -225,10 +225,7 @@ def stage_ace_ports(
         ctx.store.misses += 1
         ctx.notify("ace:run", workloads=n_workloads)
         suite = compute_suite()
-        try:
-            ctx.store.save("ace", ace_fp, suite)
-        except Exception:
-            pass
+        ctx.store.try_save("ace", ace_fp, suite)
     ctx.events.append(
         StageEvent("ace", ace_fp, hit, time.perf_counter() - started)
     )
@@ -543,10 +540,7 @@ def stage_sfi(
             ctx.store.misses += 1
             result = compute()
             if not result.failures:
-                try:
-                    ctx.store.save("sfi", fp, result)
-                except Exception:
-                    pass
+                ctx.store.try_save("sfi", fp, result)
     else:
         result, hit = compute(), False
     ctx.events.append(StageEvent("sfi", fp, hit, time.perf_counter() - started))
@@ -606,10 +600,7 @@ def stage_beam(
             ctx.store.misses += 1
             result = compute()
             if not result.failures:
-                try:
-                    ctx.store.save("beam", fp, result)
-                except Exception:
-                    pass
+                ctx.store.try_save("beam", fp, result)
     else:
         result, hit = compute(), False
     ctx.events.append(StageEvent("beam", fp, hit, time.perf_counter() - started))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.errors import TraceError
 from repro.perfmodel.isa import (
@@ -80,11 +81,13 @@ def generate_trace(spec: WorkloadSpec) -> Trace:
     rng = random.Random(spec.seed)
     mix = spec.mix()
     ops = [op for op, _ in mix]
-    weights = [w for _, w in mix]
+    # What rng.choices(ops, weights) accumulates on every call: the same
+    # draws, summed once per trace.
+    cum_weights = list(accumulate(w for _, w in mix))
     trace = Trace(name=spec.name)
 
     recent_writes: list[int] = []   # registers written recently, newest last
-    dead_regs = set(range(spec.regs - max(1, int(spec.regs * 0.2)), spec.regs))
+    dead_regs = list(range(spec.regs - max(1, int(spec.regs * 0.2)), spec.regs))
     addr_cursor = rng.randrange(spec.working_set)
 
     def pick_src() -> int:
@@ -95,7 +98,7 @@ def generate_trace(spec: WorkloadSpec) -> Trace:
 
     def pick_dst(will_be_dead: bool) -> int:
         if will_be_dead and dead_regs:
-            return rng.choice(sorted(dead_regs))
+            return rng.choice(dead_regs)
         return rng.randrange(spec.regs - len(dead_regs)) if spec.regs > len(dead_regs) else 0
 
     def next_addr() -> int:
@@ -110,7 +113,7 @@ def generate_trace(spec: WorkloadSpec) -> Trace:
         if spec.output_every > 0 and seq > 0 and seq % spec.output_every == 0:
             op = OP_OUTPUT
         else:
-            op = rng.choices(ops, weights)[0]
+            op = rng.choices(ops, cum_weights=cum_weights)[0]
         inst = Inst(seq=seq, op=op)
         if op in (OP_ALU, OP_MUL):
             dead = rng.random() < spec.dead_fraction

@@ -114,6 +114,28 @@ def test_event_errors():
         a.finish(1)
 
 
+def test_events_after_finish_raise_and_leave_results_alone():
+    a = _analyzer(entries=1, bits=8)
+    a.on_write("s", 0, 0, ace=True, ace_bits=None, bits=8)
+    a.on_read("s", 0, 4, ace=True)
+    a.on_release("s", 0, 6, consumed=True)
+    stats = a.finish(10)["s"]
+    before = (stats.total_writes, stats.total_reads, stats.ace_bit_cycles,
+              stats.unknown_bit_cycles, dict(stats.deadlines.histogram))
+    with pytest.raises(AceError, match="after finish"):
+        a.on_write("s", 0, 11, ace=True, ace_bits=None, bits=8)
+    with pytest.raises(AceError, match="after finish"):
+        a.on_read("s", 0, 12, ace=True)
+    with pytest.raises(AceError, match="after finish"):
+        a.on_release("s", 0, 13, consumed=True)
+    with pytest.raises(AceError, match="after finish"):
+        a.register("t", 1, 8)
+    assert (stats.total_writes, stats.total_reads, stats.ace_bit_cycles,
+            stats.unknown_bit_cycles, stats.deadlines.histogram) == before
+    assert a.mean_ace_latency("s") == 4.0
+    assert a.mean_ace_latency("ghost") == 0.0
+
+
 def test_mean_ace_latency_and_throughput():
     a = _analyzer(entries=2, bits=8)
     a.on_write("s", 0, 0, ace=True, ace_bits=None, bits=8)
