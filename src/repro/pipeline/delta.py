@@ -468,7 +468,10 @@ def save_fub_solutions(
     """Persist per-FUB solutions under *keys*; returns entries written.
 
     *skip* lists ``(fub, direction)`` pairs already served as hits —
-    re-saving them would be byte-churn for no information.
+    re-saving them would be byte-churn for no information. A cache that
+    cannot take an entry degrades as :meth:`ArtifactStore.try_save` does:
+    one :class:`~repro.errors.CacheDegradedWarning`, naming the stage
+    that called, and the remaining entries are not attempted.
     """
     solutions = extract_fub_solutions(plan, result)
     skipped = set(skip)
@@ -476,7 +479,9 @@ def save_fub_solutions(
     for (fub, direction), solution in solutions.items():
         if (fub, direction) in skipped:
             continue
-        store.save("fubsol", keys[fub][direction], solution)
+        if not store.try_save("fubsol", keys[fub][direction], solution,
+                              stacklevel=3):
+            break
         written += 1
     return written
 

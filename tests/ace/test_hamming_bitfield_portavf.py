@@ -1,5 +1,7 @@
 """Hamming-distance-1 analysis, bit fields, and port-AVF extraction."""
 
+import dataclasses
+
 import pytest
 
 from repro.ace.bitfield import (
@@ -7,6 +9,7 @@ from repro.ace.bitfield import (
     IQ_FIELDS,
     ROB_FIELDS,
     ace_bits_for,
+    entry_ace_bits,
     field_breakdown,
     total_bits,
 )
@@ -14,7 +17,7 @@ from repro.ace.hamming import HammingAnalyzer, naive_tag_avf
 from repro.ace.portavf import average_ports, ports_from_analysis, suite_ports
 from repro.core.graphmodel import StructurePorts
 from repro.errors import AceError
-from repro.perfmodel.isa import Inst
+from repro.perfmodel.isa import OPS, Inst
 from repro.workloads.generator import WorkloadSpec, generate_trace
 
 
@@ -94,6 +97,34 @@ class TestBitFields:
                        ("store", dict(addr=0)), ("branch", dict(taken=True))]:
             inst = Inst(seq=0, op=op, ace=True, **kw)
             assert 0 < ace_bits_for(IQ_FIELDS, inst) <= total_bits(IQ_FIELDS)
+
+    def test_entry_ace_bits_memo_key_covers_every_field_read(self):
+        # entry_ace_bits memoises on (op, imm, dst is None, ace): the
+        # predicates may read no other Inst field, and the memoised
+        # count must match a direct count whatever the other fields hold.
+        seen: set[str] = set()
+
+        class Recording(Inst):
+            def __getattribute__(self, name):
+                seen.add(name)
+                return super().__getattribute__(name)
+
+        for op in OPS:
+            for imm in (False, True):
+                for dst in (None, 3):
+                    for ace in (None, False, True):
+                        recorded = Recording(seq=0, op=op, dst=dst, imm=imm,
+                                             ace=ace)
+                        direct = (ace_bits_for(IQ_FIELDS, recorded),
+                                  ace_bits_for(ROB_FIELDS, recorded))
+                        other = Inst(
+                            seq=9, op=op, dst=None if dst is None else 7,
+                            srcs=(1, 2), addr=64, taken=True,
+                            mispredicted=True, imm=imm, ace=ace,
+                        )
+                        assert entry_ace_bits(other) == direct
+        inst_fields = {f.name for f in dataclasses.fields(Inst)}
+        assert seen & inst_fields == {"op", "imm", "dst", "ace"}
 
     def test_field_breakdown(self):
         insts = [
